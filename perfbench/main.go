@@ -3,7 +3,7 @@
 // write path through their public functions and HTTP endpoints, checks
 // every output it measures, and prints one JSON result line.
 //
-//	bash perfbench/run.sh --workload train-xgb --seed 1 --seconds 10 --trace 0
+//	bash perfbench/run.sh --workload train-xgb --seed 1 --seconds 16 --trace 0
 //
 // With --trace 0 the result carries the end-to-end metrics of the
 // workload; with --trace 1 it carries the per-layer metrics of a separate
@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,7 +55,10 @@ type options struct {
 	// corrupt, set by tests only, damages one measured output so the
 	// correctness checks can be shown to fire.
 	corrupt bool
-	log     io.Writer
+	// conflict, set by tests only, makes the server reject every mutation
+	// batch, so a run whose writes all fail can be shown to still report.
+	conflict bool
+	log      io.Writer
 }
 
 // report collects a run's metrics, operation counts and check failures.
@@ -111,6 +115,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ok || *seconds <= 0 || (*trace != 0 && *trace != 1) {
 		fmt.Fprintf(stderr, "perfbench: need --workload (%s), --seconds > 0 and --trace 0|1\n",
 			strings.Join(workloadNames(), ", "))
+		return 2
+	}
+	if *name == "mutate" && *trace == 1 && mutBatches(*seconds) < minVisibleSamples {
+		fmt.Fprintf(stderr, "perfbench: a traced mutate run sends %g mutation batches a second and needs %d for its p95: use --seconds >= %g\n",
+			mutRate, minVisibleSamples, math.Ceil(minVisibleSamples/float64(mutRate)))
 		return 2
 	}
 	root, err := os.Getwd()

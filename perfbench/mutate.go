@@ -22,19 +22,31 @@ import (
 // holds more connections than the host has CPUs). A writer that waits
 // for its epoch cannot overlap batches, so epochs carry one batch each;
 // mutations_per_epoch shows coalescing once the write path gets more
-// writers. The write rate leaves the applier half idle on a 2-CPU host;
-// faster rates let one noisy second start a backlog the run never drains.
+// writers. An apply takes about 30 ms on a 2-CPU host, so at 12.5 batches
+// a second the applier is busy 40% of the time. At 15 a second, host
+// contention that slowed applies by a third raised the visible latency
+// by half through queueing; at 20 to 30 a second one noisy second
+// started a backlog the run never drained. The 300:12.5 read:write mix
+// and the add/remove/relabel split of planMutations are assumptions
+// (README.md); no traffic data exists.
 const (
 	mutUsers, mutTinyUsers = 10000, 300
 	mutDetector            = "clauset"
-	mutRate                = 15  // POST /v1/mutations batches per second
-	mutBatch               = 2   // mutations per batch
-	mutReadRate            = 300 // GET /v1/edge per second beside the writes
-	mutSetupReps           = 2   // each set-up trains an n=10000 server
-	// minVisibleSamples is the fewest mutations a full-size run needs so
-	// that mutate_visible_p95_ms has ten samples beyond it.
+	mutRate                = 12.5 // POST /v1/mutations batches per second
+	mutBatch               = 2    // mutations per batch
+	mutReadRate            = 300  // GET /v1/edge per second beside the writes
+	mutSetupReps           = 2    // each set-up trains an n=10000 server
+	// minVisibleSamples is the fewest mutation batches a traced run needs
+	// so that mutate_visible_p95_ms has ten samples beyond it; run refuses
+	// a shorter traced run as a usage error.
 	minVisibleSamples = 200
 )
+
+// mutBatches is how many mutation batches a run of the given length
+// sends.
+func mutBatches(seconds float64) int {
+	return len(constantRate(mutRate, time.Duration(seconds*float64(time.Second)), func(int) (int, int) { return kindMutation, 0 }))
+}
 
 // mutPlan is one planned batch. Every mutation touches an edge no other
 // mutation of the run touches, so batches are valid in any order.
@@ -226,10 +238,24 @@ func runMutate(o options, r *report) error {
 	if o.corrupt {
 		plans[0].found = !plans[0].found // expect the opposite of the truth
 	}
+	if o.conflict {
+		// Each batch adds two edges that already exist; the applier
+		// rejects the whole batch.
+		for i := range plans {
+			a, b := reads[(2*i)%len(reads)], reads[(2*i+1)%len(reads)]
+			plans[i].body = fmt.Appendf(nil, `{"wait":true,"mutations":[{"op":"add","u":%d,"v":%d,"label":"family"},{"op":"add","u":%d,"v":%d,"label":"family"}]}`,
+				a[0], a[1], b[0], b[1])
+		}
+	}
 	url := m.http.url
 
 	receipts := make([]receipt, len(wsched))
-	failedMuts := 0
+	// rejected counts the mutations of batches the server answered 409 or
+	// 5xx, which its applier counts as failed; a 503 is a refusal at
+	// intake, which it does not count. unknown counts the mutations of
+	// batches whose answer never arrived (a transport error or client
+	// timeout): the server may have applied or failed them.
+	rejected, unknown := 0, 0
 	var wlr, rlr loadResult
 	var wg sync.WaitGroup
 	freshPeak() // set-up garbage is not the measured loops' to collect
@@ -243,8 +269,14 @@ func runMutate(o options, r *report) error {
 			timed(r.tr, "serve.http_mutation", 0, func() {
 				rep, err = doHTTP(client, http.MethodPost, url+"/v1/mutations", p.body)
 			})
-			if err != nil || rep.status != http.StatusOK {
-				failedMuts += len(p.muts)
+			switch {
+			case err != nil:
+				unknown += len(p.muts)
+				return false
+			case rep.status == http.StatusConflict || (rep.status >= 500 && rep.status != http.StatusServiceUnavailable):
+				rejected += len(p.muts)
+				return false
+			case rep.status != http.StatusOK:
 				return false
 			}
 			rc := &receipts[i]
@@ -307,13 +339,10 @@ func runMutate(o options, r *report) error {
 	if err != nil {
 		return err
 	}
-	if st.Mutations.Failed != int64(failedMuts) {
-		r.fail("server counts %d failed mutations, the benchmark %d", st.Mutations.Failed, failedMuts)
+	if f := st.Mutations.Failed; f < int64(rejected) || f > int64(rejected+unknown) {
+		r.fail("server counts %d failed mutations, the benchmark %d rejected and %d unanswered", f, rejected, unknown)
 	}
 	vis := wlr.latenciesMs(wsched, kindMutation)
-	if !o.tiny && len(vis) < minVisibleSamples {
-		r.fail("only %d mutation samples, p95 needs %d", len(vis), minVisibleSamples)
-	}
 
 	// The tails go to the traced run: checkpoint stalls set them (a
 	// checkpoint blocks appends while it exports the snapshot), and their

@@ -134,6 +134,27 @@ func TestCorruptedOutputsAreCaught(t *testing.T) {
 	}
 }
 
+// A run whose every mutation the server rejects still prints a result:
+// empty sample sets must not turn metrics into NaN, which JSON cannot
+// carry, and the rejected count must match the server's.
+func TestAllMutationsRejectedStillReports(t *testing.T) {
+	for _, trace := range []bool{false, true} {
+		o := tinyOptions(t, trace)
+		o.conflict = true
+		res, _, err := execute("mutate", runMutate, o)
+		if err != nil {
+			t.Fatalf("trace=%v: %v", trace, err)
+		}
+		if !res.Correct || res.Failed < mutBatches(o.seconds) {
+			t.Errorf("trace=%v: correct=%v failed=%d, want correct with every one of %d batches failed",
+				trace, res.Correct, res.Failed, mutBatches(o.seconds))
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Errorf("trace=%v: result does not encode: %v", trace, err)
+		}
+	}
+}
+
 func TestCheckBodiesCatchWrongAnswers(t *testing.T) {
 	st, err := core.NewEdgeStore([]uint64{(graph.Edge{U: 1, V: 2}).Key()}, []locec.Label{locec.Family},
 		[]float64{0.25, 0.5, 0.25}, 3)
@@ -206,6 +227,7 @@ func TestBadArgumentsPrintNoResult(t *testing.T) {
 		{"--workload", "nope"},
 		{"--workload", "train-xgb", "--trace", "2"},
 		{"--workload", "train-xgb", "--seconds", "0"},
+		{"--workload", "mutate", "--trace", "1", "--seconds", "10"}, // too few batches for a p95
 	} {
 		var out bytes.Buffer
 		if code := run(args, &out, io.Discard); code == 0 || strings.Contains(out.String(), `"correct"`) {

@@ -3,7 +3,7 @@
 # given arguments. Every build artifact, cache and temporary file stays
 # under .bench_build/ at the checkout root.
 #
-#   bash perfbench/run.sh --workload train-xgb --seed 1 --seconds 10 --trace 0
+#   bash perfbench/run.sh --workload train-xgb --seed 1 --seconds 16 --trace 0
 set -euo pipefail
 root=$(pwd)
 build="$root/.bench_build"

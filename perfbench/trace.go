@@ -111,11 +111,15 @@ func (t *tracer) writeFile(path string, prov map[string]string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
+// quantile, median and mean return 0 for an empty sample set (every
+// mutation of a run failed, say), so the result line still encodes and
+// reports the failures; JSON has no NaN.
+
 // quantile returns the q-quantile (nearest rank) of xs, sorting a copy.
 // +Inf entries stand for failed operations, which miss every limit.
 func quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
-		return math.NaN()
+		return 0
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
@@ -128,7 +132,7 @@ func quantile(xs []float64, q float64) float64 {
 
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
-		return math.NaN()
+		return 0
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
@@ -140,7 +144,7 @@ func median(xs []float64) float64 {
 
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
-		return math.NaN()
+		return 0
 	}
 	sum := 0.0
 	for _, x := range xs {
