@@ -5,11 +5,12 @@
 //
 //	bash perfbench/run.sh --workload train-xgb --seed 1 --seconds 16 --trace 0
 //
-// With --trace 0 the result carries the end-to-end metrics of the
-// workload; with --trace 1 it carries the per-layer metrics of a separate
-// traced run, whose spans are written under .bench_build/traces/ when the
-// run ends. README.md records why each workload exists and which
-// end-to-end metric each per-layer metric should move.
+// Every workload reports the same metrics. With --trace 0 the result
+// carries the end-to-end metrics; with --trace 1 it carries the per-layer
+// metrics of a separate traced run, whose spans are written under
+// .bench_build/traces/ when the run ends. README.md records why each
+// workload exists and which end-to-end metric each per-layer metric
+// should move.
 package main
 
 import (
@@ -17,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -115,11 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ok || *seconds <= 0 || (*trace != 0 && *trace != 1) {
 		fmt.Fprintf(stderr, "perfbench: need --workload (%s), --seconds > 0 and --trace 0|1\n",
 			strings.Join(workloadNames(), ", "))
-		return 2
-	}
-	if *name == "mutate" && *trace == 1 && mutBatches(*seconds) < minVisibleSamples {
-		fmt.Fprintf(stderr, "perfbench: a traced mutate run sends %g mutation batches a second and needs %d for its p95: use --seconds >= %g\n",
-			mutRate, minVisibleSamples, math.Ceil(minVisibleSamples/float64(mutRate)))
 		return 2
 	}
 	root, err := os.Getwd()

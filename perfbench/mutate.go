@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"locec"
 	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/serve"
@@ -20,9 +22,8 @@ import (
 
 // mutate traffic: one writer and one reader connection (the load never
 // holds more connections than the host has CPUs). A writer that waits
-// for its epoch cannot overlap batches, so epochs carry one batch each;
-// mutations_per_epoch shows coalescing once the write path gets more
-// writers. An apply takes about 30 ms on a 2-CPU host, so at 12.5 batches
+// for its epoch cannot overlap batches, so epochs carry one batch each.
+// An apply takes about 30 ms on a 2-CPU host, so at 12.5 batches
 // a second the applier is busy 40% of the time. At 15 a second, host
 // contention that slowed applies by a third raised the visible latency
 // by half through queueing; at 20 to 30 a second one noisy second
@@ -30,23 +31,20 @@ import (
 // and the add/remove/relabel split of planMutations are assumptions
 // (README.md); no traffic data exists.
 const (
-	mutUsers, mutTinyUsers = 10000, 300
-	mutDetector            = "clauset"
-	mutRate                = 12.5 // POST /v1/mutations batches per second
-	mutBatch               = 2    // mutations per batch
-	mutReadRate            = 300  // GET /v1/edge per second beside the writes
-	mutSetupReps           = 2    // each set-up trains an n=10000 server
-	// minVisibleSamples is the fewest mutation batches a traced run needs
-	// so that mutate_visible_p95_ms has ten samples beyond it; run refuses
-	// a shorter traced run as a usage error.
-	minVisibleSamples = 200
+	mutRate      = 12.5 // POST /v1/mutations batches per second
+	mutBatch     = 2    // mutations per batch
+	mutReadRate  = 300  // GET /v1/edge per second beside the writes
+	mutSetupReps = 2    // each set-up trains an n=10000 server
+	// tourBatches is how many batches the write tour applies in the
+	// traced run of a workload without a mutable server.
+	tourBatches, tinyTourBatches = 40, 8
 )
 
-// mutBatches is how many mutation batches a run of the given length
-// sends.
-func mutBatches(seconds float64) int {
-	return len(constantRate(mutRate, time.Duration(seconds*float64(time.Second)), func(int) (int, int) { return kindMutation, 0 }))
-}
+// mutShape is the mutable server's model: the local clauset detector, so
+// the incremental engine takes its seeded re-division path, and XGB. The
+// traced run trains the same shape through the stages for the training
+// layers' metrics.
+var mutShape = trainShape{users: 10000, tinyUsers: 300, detector: "clauset", variant: locec.VariantXGB}
 
 // mutPlan is one planned batch. Every mutation touches an edge no other
 // mutation of the run touches, so batches are valid in any order.
@@ -145,7 +143,6 @@ type receipt struct {
 	Snapshot struct {
 		Version int64 `json:"version"`
 	} `json:"snapshot"`
-	Mutations    int     `json:"mutations"`
 	DirtyNodes   int     `json:"dirty_nodes"`
 	DirtyEdges   int     `json:"dirty_edges"`
 	SeededEgos   int     `json:"seeded_egos"`
@@ -163,41 +160,47 @@ func (m *mutServer) close() {
 	m.srv.Close()
 }
 
-// setupMutate generates the dataset and boots a trainable server with a
-// WAL in dir, returning once /readyz answers 200.
-func setupMutate(o options, dir string, client *http.Client) (*mutServer, *social.Dataset, error) {
-	users := mutUsers
-	if o.tiny {
-		users = mutTinyUsers
-	}
-	ds, _, err := makeDataset(users, o.seed, false)
-	if err != nil {
-		return nil, nil, err
-	}
+// setupMutate boots a trainable server on ds with a WAL in dir, returning
+// once /readyz answers 200.
+func setupMutate(o options, ds *social.Dataset, dir string, client *http.Client) (*mutServer, error) {
 	walDir := filepath.Join(dir, "wal")
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	srv, err := serve.New(serve.Config{
-		Users: users, Variant: "xgb", Detector: mutDetector, Seed: o.seed,
+		Users: mutShape.size(o), Variant: "xgb", Detector: mutShape.detector, Seed: o.seed,
 		WALDir: walDir, Logger: discardLogger(),
 		Source: func(int64) (*social.Dataset, error) { return ds, nil },
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	hs, err := listen(srv.Handler())
 	if err != nil {
 		srv.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	m := &mutServer{srv: srv, http: hs}
 	rep, err := doHTTP(client, http.MethodGet, hs.url+"/readyz", nil)
 	if err != nil || rep.status != http.StatusOK {
 		m.close()
-		return nil, nil, fmt.Errorf("mutable server not ready: %d %v", rep.status, err)
+		return nil, fmt.Errorf("mutable server not ready: %d %v", rep.status, err)
 	}
-	return m, ds, nil
+	return m, nil
+}
+
+// exportModel saves the server's live snapshot as artifact bytes and
+// restores its predictions from them.
+func exportModel(m *mutServer) ([]byte, *core.Result, error) {
+	var buf bytes.Buffer
+	if err := m.srv.ExportArtifact(&buf); err != nil {
+		return nil, nil, err
+	}
+	back, err := locec.ReadArtifact(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return nil, nil, err
+	}
+	return buf.Bytes(), back.Internal(), nil
 }
 
 func runMutate(o options, r *report) error {
@@ -210,6 +213,8 @@ func runMutate(o options, r *report) error {
 	var setups []float64
 	var m *mutServer
 	var ds *social.Dataset
+	var test []uint64
+	f1 := 0.0
 	for i := 0; i < reps; i++ {
 		if m != nil {
 			m.close()
@@ -218,12 +223,28 @@ func runMutate(o options, r *report) error {
 		if i == 0 {
 			t0 = processStart
 		}
-		dir := filepath.Join(o.workDir, fmt.Sprintf("mutate-%d", i))
 		var err error
-		if m, ds, err = setupMutate(o, dir, client); err != nil {
+		if ds, test, err = makeDataset(mutShape.size(o), o.seed, true); err != nil {
+			return err
+		}
+		if m, err = setupMutate(o, ds, filepath.Join(o.workDir, fmt.Sprintf("mutate-%d", i)), client); err != nil {
 			return err
 		}
 		setups = append(setups, time.Since(t0).Seconds())
+		// The served model's held-out macro-F1, before any write.
+		_, res, err := exportModel(m)
+		if err != nil {
+			m.close()
+			return err
+		}
+		v, err := heldOutF1(ds, res, test)
+		if err != nil {
+			r.fail("%v", err)
+		}
+		if i > 0 && v != f1 {
+			r.fail("macro-F1 changed between set-ups: %v then %v", f1, v)
+		}
+		f1 = v
 	}
 	defer m.close()
 
@@ -342,118 +363,143 @@ func runMutate(o options, r *report) error {
 	if f := st.Mutations.Failed; f < int64(rejected) || f > int64(rejected+unknown) {
 		r.fail("server counts %d failed mutations, the benchmark %d rejected and %d unanswered", f, rejected, unknown)
 	}
-	vis := wlr.latenciesMs(wsched, kindMutation)
-
-	// The tails go to the traced run: checkpoint stalls set them (a
-	// checkpoint blocks appends while it exports the snapshot), and their
-	// length swings with the host between identical runs.
 	if o.trace {
-		r.set("edge_p99_ms", "ms", capMs(rlr.windowed(rsched, kindEdge, 0.99), d))
-		r.set("mutate_visible_p95_ms", "ms", capMs(wlr.windowed(wsched, kindMutation, 0.95), d))
-		return mutateLayers(r, m, st, plans, receipts, wlr, rlr, o.workDir)
+		return mutateLayers(o, r, m, ds, test, plans, receipts, wlr, rlr)
 	}
 	r.set("setup_s", "s", median(setups))
 	r.set("peak_rss_mb", "MB", loopPeak)
-	r.set("edge_p50_ms", "ms", capMs(rlr.windowed(rsched, kindEdge, 0.50), d))
-	r.set("mutate_visible_p50_ms", "ms", capMs(wlr.windowed(wsched, kindMutation, 0.50), d))
-	fmt.Fprintf(o.log, "perfbench: mutate: %d mutation and %d read samples, last epoch %d\n", len(vis), len(rsched), prev)
+	r.set("macro_f1", "ratio", f1)
+	r.set("op_p50_ms", "ms", capMs(wlr.windowed(wsched, kindMutation, 0.50), d))
+	fmt.Fprintf(o.log, "perfbench: mutate: %d mutation and %d read samples, last epoch %d\n", len(wsched), len(rsched), prev)
 	return nil
 }
 
-// mutateLayers reports the traced run's per-layer numbers: the apply
-// statistics of every receipt, the server's WAL counters, and a replay of
-// the same batches through the WAL package, untraced then traced.
-func mutateLayers(r *report, m *mutServer, st serveStatsDoc, plans []mutPlan, receipts []receipt, wlr, rlr loadResult, dir string) error {
-	var apply, dirtyE, dirtyN, seeded []float64
-	epochs := map[int64]bool{}
-	muts := 0
+// mutateLayers is the traced run's per-layer pass: the apply statistics
+// of every receipt, the same batches replayed through the WAL package,
+// the mutable server's model trained again through the stages for the
+// training layers, and the read tour over the server's final snapshot.
+func mutateLayers(o options, r *report, m *mutServer, ds *social.Dataset, test []uint64, plans []mutPlan, receipts []receipt, wlr, rlr loadResult) error {
+	var samples []core.ApplyStats
 	for i, rc := range receipts {
-		if !wlr.outs[i].ok {
+		if wlr.outs[i].ok {
+			samples = append(samples, core.ApplyStats{
+				DirtyNodes: rc.DirtyNodes, DirtyEdges: rc.DirtyEdges, SeededEgos: rc.SeededEgos,
+				Duration: time.Duration(rc.ApplySeconds * float64(time.Second)),
+			})
+		}
+	}
+	applyLayers(r, samples)
+	setGen(r, wlr, rlr)
+	if err := walLayers(r, plans, filepath.Join(o.workDir, "wal-replay")); err != nil {
+		return err
+	}
+	if _, err := tracedTrain(mutShape, ds, test, o, r); err != nil {
+		return err
+	}
+	data, _, err := exportModel(m)
+	if err != nil {
+		return err
+	}
+	_, err = readTour(o, r, data)
+	return err
+}
+
+// writeTour is the write half of the traced run of a workload without a
+// mutable server: it applies planned batches to the workload's trained
+// pipeline through Pipeline.ApplyMutations, requires each batch's first
+// edge to show the change in the new EdgeStore, and replays the batches
+// through the WAL package.
+func writeTour(o options, r *report, ds *social.Dataset, t *trained) error {
+	n := tourBatches
+	if o.tiny {
+		n = tinyTourBatches
+	}
+	plans, _ := planMutations(ds.G, o.seed, n)
+	res := t.res
+	var samples []core.ApplyStats
+	for i, p := range plans {
+		var st core.ApplyStats
+		var err error
+		r.attempted++
+		r.tr.do("core.apply_mutations", 0, func() { ds, res, st, err = t.p.ApplyMutations(ds, res, p.muts) })
+		if err != nil {
+			r.failed++
+			r.fail("apply batch %d: %v", i, err)
 			continue
 		}
-		apply = append(apply, rc.ApplySeconds*1e3)
-		dirtyE = append(dirtyE, float64(rc.DirtyEdges))
-		dirtyN = append(dirtyN, float64(rc.DirtyNodes))
-		seeded = append(seeded, float64(rc.SeededEgos))
-		epochs[rc.Epoch] = true
-		muts += len(plans[i].muts)
+		if _, ok := res.Edges.Find(probeKey(p)); ok != p.found {
+			r.fail("batch %d: edge {%d,%d} present=%v after the batch, want %v", i, p.probe[0], p.probe[1], ok, p.found)
+		}
+		samples = append(samples, st)
+	}
+	applyLayers(r, samples)
+	return walLayers(r, plans, filepath.Join(o.workDir, "wal-tour"))
+}
+
+func probeKey(p mutPlan) uint64 {
+	return (graph.Edge{U: graph.NodeID(p.probe[0]), V: graph.NodeID(p.probe[1])}).Key()
+}
+
+// applyLayers reports the incremental engine's work per applied batch.
+func applyLayers(r *report, samples []core.ApplyStats) {
+	var apply, dirtyE, dirtyN, seeded []float64
+	for _, s := range samples {
+		apply = append(apply, float64(s.Duration)/1e6)
+		dirtyE = append(dirtyE, float64(s.DirtyEdges))
+		dirtyN = append(dirtyN, float64(s.DirtyNodes))
+		seeded = append(seeded, float64(s.SeededEgos))
 	}
 	r.set("core.apply_ms_p50", "ms", quantile(apply, 0.50))
 	r.set("core.apply_ms_p95", "ms", quantile(apply, 0.95))
 	r.set("core.dirty_edges", "edges", mean(dirtyE))
 	r.set("core.dirty_nodes", "nodes", mean(dirtyN))
 	r.set("core.seeded_egos", "egos", mean(seeded))
-	r.set("serve.mutations_per_epoch", "ratio", float64(muts)/float64(max(1, len(epochs))))
-	r.set("serve.cache_hit_ratio", "ratio", ratio(st.Cache.Hits, st.Cache.Hits+st.Cache.Misses))
-	if st.WAL == nil {
-		return fmt.Errorf("mutable server reports no WAL")
+}
+
+// setGen reports how late the load generator ran in the given loops and
+// how many of their requests were still unsent when their schedules ended.
+func setGen(r *report, lrs ...loadResult) {
+	var late []float64
+	backlog := 0
+	for _, lr := range lrs {
+		late = append(late, lr.lateMs...)
+		backlog += lr.backlog
 	}
-	r.set("wal.records", "count", float64(st.WAL.Records))
-	r.set("wal.bytes", "bytes", float64(st.WAL.Bytes))
-	r.set("wal.checkpoints", "count", float64(st.WAL.Checkpoints))
-	late := append(append([]float64(nil), wlr.lateMs...), rlr.lateMs...)
 	r.set("gen.late_p99_ms", "ms", quantile(late, 0.99))
-	r.set("gen.backlog", "count", float64(wlr.backlog+rlr.backlog))
+	r.set("gen.backlog", "count", float64(backlog))
+}
 
-	var art bytesCounter
-	var err error
-	save := r.tr.do("artifact.save", 0, func() { err = m.srv.ExportArtifact(&art) })
+// walLayers appends each planned batch to a fresh log in dir and syncs
+// it, as the server's applier does once per epoch, with a span around
+// every call.
+func walLayers(r *report, plans []mutPlan, dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	l, _, err := wal.Open(wal.OSFS{}, dir, wal.SyncBatch)
 	if err != nil {
 		return err
 	}
-	r.set("artifact.save_s", "s", save.Seconds())
-	r.set("artifact.bytes", "bytes", float64(art))
-
-	batches := make([][]core.Mutation, len(plans))
-	for i, p := range plans {
-		batches[i] = p.muts
+	for _, p := range plans {
+		r.attempted++
+		r.tr.do("wal.append", 0, func() { _, err = l.Append(p.muts) })
+		if err == nil {
+			r.tr.do("wal.sync", 0, func() { err = l.Sync() })
+		}
+		if err != nil {
+			_ = l.Close()
+			return err
+		}
 	}
-	untraced, err := replayWAL(filepath.Join(dir, "replay-untraced"), batches, nil)
-	if err != nil {
+	st := l.Stats()
+	if err := l.Close(); err != nil {
 		return err
 	}
-	traced, err := replayWAL(filepath.Join(dir, "replay-traced"), batches, r.tr)
-	if err != nil {
-		return err
-	}
-	r.attempted += 2 * len(batches)
 	appends := seconds(r.tr.durations("wal.append"))
 	r.set("wal.append_us_p50", "us", quantile(appends, 0.50)*1e6)
 	r.set("wal.append_us_p99", "us", quantile(appends, 0.99)*1e6)
 	r.set("wal.fsync_ms", "ms", median(seconds(r.tr.durations("wal.sync")))*1e3)
-	r.set("trace.overhead_s", "s", (traced - untraced).Seconds())
+	r.set("wal.records", "count", float64(st.Records))
+	r.set("wal.bytes", "bytes", float64(st.Bytes))
 	return nil
-}
-
-// replayWAL appends each batch to a fresh log and syncs it, as the
-// server's applier does once per epoch, and returns the wall time.
-func replayWAL(dir string, batches [][]core.Mutation, tr *tracer) (time.Duration, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	l, _, err := wal.Open(wal.OSFS{}, dir, wal.SyncBatch)
-	if err != nil {
-		return 0, err
-	}
-	t0 := time.Now()
-	for _, b := range batches {
-		timed(tr, "wal.append", 0, func() { _, err = l.Append(b) })
-		if err == nil {
-			timed(tr, "wal.sync", 0, func() { err = l.Sync() })
-		}
-		if err != nil {
-			_ = l.Close()
-			return 0, err
-		}
-	}
-	total := time.Since(t0)
-	return total, l.Close()
-}
-
-// bytesCounter is an io.Writer that only counts.
-type bytesCounter int
-
-func (c *bytesCounter) Write(p []byte) (int, error) {
-	*c += bytesCounter(len(p))
-	return len(p), nil
 }

@@ -20,13 +20,13 @@ import (
 	"sync"
 	"time"
 
-	"locec"
 	"locec/internal/artifact"
 	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/ring"
 	"locec/internal/router"
 	"locec/internal/serve"
+	"locec/internal/social"
 )
 
 // serve-read traffic. No traffic data exists for this system (the paper
@@ -43,10 +43,10 @@ const (
 	classifyRate  = 40   // POST /v1/classify per second; half hot, half fresh
 	classifyBatch = 16
 	hotBatches    = 32 // assumed hot set; small enough to stay in every shard's LRU cache
-	// fixedShare of --seconds runs the fixed-rate phase; the ladder runs
-	// after it.
-	fixedShare = 0.6
-	// edgeLimitMs is the edge_p99_ms limit a ladder step must meet.
+	// tourSeconds bounds the fixed-rate loop of the read tour that the
+	// traced runs of the other workloads make over their own artifact.
+	tourSeconds = 2.0
+	// edgeLimitMs is the edge p99 limit a ladder step must meet.
 	edgeLimitMs = 20.0
 	// The ladder's rates are ladderMin·ladderStep^k.
 	ladderMin  = 500.0
@@ -58,8 +58,6 @@ const (
 	// readSetupReps: each serve-read set-up trains an n=10000 artifact,
 	// so it is repeated fewer times than the cheap training set-ups.
 	readSetupReps = 2
-	// coldstartReps cold starts per set-up; coldstart_s is their median.
-	coldstartReps = 5
 )
 
 // request kinds of the read and write loops.
@@ -256,7 +254,6 @@ type serveStatsDoc struct {
 		Applied int64 `json:"applied"`
 		Failed  int64 `json:"failed"`
 	} `json:"mutations"`
-	WAL *serve.WALStats `json:"wal"`
 }
 
 func serverStats(c *http.Client, url string) (serveStatsDoc, error) {
@@ -271,45 +268,28 @@ func serverStats(c *http.Client, url string) (serveStatsDoc, error) {
 	return doc, json.Unmarshal(rep.body, &doc)
 }
 
-// readInputs is one serve-read set-up: the artifact's own predictions
-// and the booted fleet.
+// readInputs is a booted read path: the artifact's own predictions and
+// the fleet cold-started from its shard files.
 type readInputs struct {
-	store           *core.EdgeStore
-	fleet           *fleet
-	save, load, cut time.Duration
-	artBytes        int
-	shardPaths      []string
-	colds           []float64 // every cold start of this set-up, in seconds
+	store      *core.EdgeStore
+	fleet      *fleet
+	load, cut  time.Duration
+	shardPaths []string
 }
 
-// setupRead trains the train-xgb-shaped artifact, saves it, cuts it into
-// shard files and cold-starts the fleet from them.
-func setupRead(o options, tr *tracer, dir string, client *http.Client) (*readInputs, error) {
-	ds, _, err := makeDataset(trainXGB.size(o), o.seed, false)
-	if err != nil {
+// prepareRead writes the artifact bytes to dir, loads them back, cuts the
+// artifact into shard files and cold-starts the fleet from them.
+func prepareRead(data []byte, dir string, tr *tracer, client *http.Client) (*readInputs, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	cfg, err := trainXGB.publicConfig(o.seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := locec.Classify(ds, cfg)
-	if err != nil {
+	full := filepath.Join(dir, "model.locec")
+	if err := os.WriteFile(full, data, 0o644); err != nil {
 		return nil, err
 	}
 	in := &readInputs{}
-	full := filepath.Join(dir, "model.locec")
-	in.save = timed(tr, "artifact.save", 0, func() {
-		var data []byte
-		if data, err = saveArtifact(ds, res.Internal(), o.seed); err == nil {
-			in.artBytes = len(data)
-			err = os.WriteFile(full, data, 0o644)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
 	var art *artifact.Artifact
+	var err error
 	in.load = timed(tr, "artifact.load", 0, func() { art, err = artifact.LoadFile(full) })
 	if err != nil {
 		return nil, err
@@ -340,14 +320,8 @@ func setupRead(o options, tr *tracer, dir string, client *http.Client) (*readInp
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < coldstartReps; i++ {
-		if in.fleet != nil {
-			in.fleet.close()
-		}
-		if in.fleet, err = bootFleet(in.shardPaths, tr, client); err != nil {
-			return nil, err
-		}
-		in.colds = append(in.colds, in.fleet.coldstart.Seconds())
+	if in.fleet, err = bootFleet(in.shardPaths, tr, client); err != nil {
+		return nil, err
 	}
 	return in, nil
 }
@@ -634,8 +608,13 @@ func runServeRead(o options, r *report) error {
 	if o.trace {
 		reps = 1
 	}
-	var setups, colds []float64
+	var setups []float64
 	var in *readInputs
+	// The traced run keeps its dataset and training for the write tour;
+	// the untraced run serves without them, as a serving process would.
+	var tourDS *social.Dataset
+	var tour *trained
+	f1 := 0.0
 	for i := 0; i < reps; i++ {
 		if in != nil {
 			in.fleet.close()
@@ -644,56 +623,99 @@ func runServeRead(o options, r *report) error {
 		if i == 0 {
 			t0 = processStart
 		}
-		dir := filepath.Join(o.workDir, fmt.Sprintf("read-%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		ds, test, err := makeDataset(trainXGB.size(o), o.seed, true)
+		if err != nil {
 			return err
 		}
-		var err error
-		if in, err = setupRead(o, r.tr, dir, client); err != nil {
+		var t *trained
+		if o.trace {
+			t, err = tracedTrain(trainXGB, ds, test, o, r)
+			tourDS, tour = ds, t
+		} else {
+			t, err = trainPublic(trainXGB, ds, o.seed)
+		}
+		if err != nil {
+			return err
+		}
+		if in, err = prepareRead(t.data, filepath.Join(o.workDir, fmt.Sprintf("read-%d", i)), r.tr, client); err != nil {
 			return err
 		}
 		setups = append(setups, time.Since(t0).Seconds())
-		colds = append(colds, in.colds...)
+		v, err := heldOutF1(ds, t.res, test)
+		if err != nil {
+			r.fail("%v", err)
+		}
+		if i > 0 && v != f1 {
+			r.fail("macro-F1 changed between set-ups: %v then %v", f1, v)
+		}
+		f1 = v
 	}
 	defer in.fleet.close()
 
-	fixed := time.Duration(o.seconds * fixedShare * float64(time.Second))
-	sched, fresh := fixedSchedule(fixed)
-	t := newReadTraffic(in.store, o.seed, len(sched), fresh)
-	url := in.fleet.routerHTTP.url
-	freshPeak()
-	lr, bodies := sendReads(sched, t, url, client, r.tr)
+	d := time.Duration(o.seconds * float64(time.Second))
+	sched, traffic, lr := readLoop(in, d, o, r, client)
 	servePeak := peakRSSMB()
+	if o.trace {
+		setGen(r, lr)
+		if err := readLayers(r, in, traffic, sched, lr, d, client); err != nil {
+			return err
+		}
+		return writeTour(o, r, tourDS, tour)
+	}
+	r.set("setup_s", "s", median(setups))
+	r.set("peak_rss_mb", "MB", servePeak)
+	r.set("macro_f1", "ratio", f1)
+	r.set("op_p50_ms", "ms", capMs(lr.windowed(sched, kindEdge, 0.50), d))
+	fmt.Fprintf(o.log, "perfbench: serve-read: %d requests at the fixed rate, backlog %d\n", len(sched), lr.backlog)
+	return nil
+}
+
+// readLoop runs the fixed-rate edge and classify loop through the router
+// over HTTP for d, checks every answer against the artifact, and returns
+// the schedule, its request table and the loop's result.
+func readLoop(in *readInputs, d time.Duration, o options, r *report, client *http.Client) ([]op, *readTraffic, loadResult) {
+	sched, fresh := fixedSchedule(d)
+	t := newReadTraffic(in.store, o.seed, len(sched), fresh)
+	freshPeak() // set-up garbage is not the measured loop's to collect
+	lr, bodies := sendReads(sched, t, in.fleet.routerHTTP.url, client, r.tr)
 	if o.corrupt {
 		swapFirstAnswers(sched, lr, bodies, t)
 	}
 	r.attempted += len(sched)
 	r.failed += lr.failures()
 	checkReads(sched, lr, bodies, t, in.store, r)
-	// The p99s go to the traced run: GC cycles and host scheduling stalls
-	// set them, and on a shared 2-CPU host they swing by half between
-	// identical runs, too much for a regression bound.
-	if o.trace {
-		r.set("edge_p99_ms", "ms", capMs(lr.windowed(sched, kindEdge, 0.99), fixed))
-		r.set("classify_p99_ms", "ms", capMs(lr.windowed(sched, kindClassify, 0.99), fixed))
-		return readLayers(r, in, t, sched, lr, client)
-	}
-	r.set("setup_s", "s", median(setups))
-	r.set("peak_rss_mb", "MB", servePeak)
-	r.set("coldstart_s", "s", median(colds))
-	r.set("edge_p50_ms", "ms", capMs(lr.windowed(sched, kindEdge, 0.50), fixed))
-	r.set("classify_p50_ms", "ms", capMs(lr.windowed(sched, kindClassify, 0.50), fixed))
-	r.set("read_max_rps", "1/s", maxReadRate(t, url, client, in.store, r))
-	fmt.Fprintf(o.log, "perfbench: serve-read: %d requests at the fixed rate, backlog %d\n", len(sched), lr.backlog)
-	return nil
+	return sched, t, lr
 }
 
-// readLayers is the traced run's per-layer pass over the same inputs:
-// the router's and shards' own counters after the fixed-rate loop, then
-// the same request stream through EdgeStore.Find, each shard handler in
-// process, the router over HandlerTransport and one shard over HTTP.
-func readLayers(r *report, in *readInputs, t *readTraffic, sched []op, lr loadResult, client *http.Client) error {
+// readTour is the read half of the traced run of a workload whose own
+// loop does not read through the router: it serves the workload's
+// artifact from a fleet, runs a short fixed-rate loop, reports the read
+// layers' metrics on it and returns the loop's result.
+func readTour(o options, r *report, data []byte) (loadResult, error) {
+	client := newClient(2)
+	defer client.CloseIdleConnections()
+	in, err := prepareRead(data, filepath.Join(o.workDir, "read-tour"), r.tr, client)
+	if err != nil {
+		return loadResult{}, err
+	}
+	defer in.fleet.close()
+	d := time.Duration(min(tourSeconds, o.seconds) * float64(time.Second))
+	sched, t, lr := readLoop(in, d, o, r, client)
+	return lr, readLayers(r, in, t, sched, lr, d, client)
+}
+
+// readLayers is the traced run's per-layer pass over a read path: the
+// fixed-rate loop's latencies and the router's and shards' own counters
+// after it, the same request stream through EdgeStore.Find, each shard
+// handler in process, the router over HandlerTransport and one shard over
+// HTTP, and last the read_max_rps search.
+func readLayers(r *report, in *readInputs, t *readTraffic, sched []op, lr loadResult, d time.Duration, client *http.Client) error {
 	f := in.fleet
+	r.set("edge_p50_ms", "ms", capMs(lr.windowed(sched, kindEdge, 0.50), d))
+	r.set("edge_p99_ms", "ms", capMs(lr.windowed(sched, kindEdge, 0.99), d))
+	r.set("classify_p50_ms", "ms", capMs(lr.windowed(sched, kindClassify, 0.50), d))
+	r.set("classify_p99_ms", "ms", capMs(lr.windowed(sched, kindClassify, 0.99), d))
+	r.set("coldstart_s", "s", f.coldstart.Seconds())
 	rs, err := routerStats(client, f.routerHTTP.url)
 	if err != nil {
 		return err
@@ -727,10 +749,6 @@ func readLayers(r *report, in *readInputs, t *readTraffic, sched []op, lr loadRe
 	r.set("router.retries", "count", float64(retries))
 	r.set("router.fanout_shards", "shards", float64(reqs-int64(nEdge))/float64(nCls))
 	r.set("serve.cache_hit_ratio", "ratio", ratio(hits, hits+misses))
-	r.set("gen.late_p99_ms", "ms", quantile(lr.lateMs, 0.99))
-	r.set("gen.backlog", "count", float64(lr.backlog))
-	r.set("artifact.save_s", "s", in.save.Seconds())
-	r.set("artifact.bytes", "bytes", float64(in.artBytes))
 	r.set("artifact.load_s", "s", in.load.Seconds())
 	r.set("artifact.cut_s", "s", in.cut.Seconds())
 	slowest := time.Duration(0)
@@ -760,7 +778,8 @@ func readLayers(r *report, in *readInputs, t *readTraffic, sched []op, lr loadRe
 	r.set("core.edgestore_find_ns", "ns", float64(find.Nanoseconds())/float64(found))
 
 	// Shard handlers in process, untraced then traced: the difference is
-	// the tracing overhead.
+	// the tracing overhead. A first untraced pass warms the handlers'
+	// caches, and each timed pass starts after a forced GC.
 	rg, err := ring.New(readShards)
 	if err != nil {
 		return err
@@ -774,12 +793,17 @@ func readLayers(r *report, in *readInputs, t *readTraffic, sched []op, lr loadRe
 		handlers[rg.OwnerEdge(e[0], e[1])].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, edgePath(e), nil))
 		return rec.Code
 	}
-	t0 := time.Now()
-	for _, e := range t.edges {
-		serveEdge(e)
+	var untraced time.Duration
+	for pass := 0; pass < 2; pass++ {
+		runtime.GC()
+		t0 := time.Now()
+		for _, e := range t.edges {
+			serveEdge(e)
+		}
+		untraced = time.Since(t0)
 	}
-	untraced := time.Since(t0)
-	t0 = time.Now()
+	runtime.GC()
+	t0 := time.Now()
 	for _, e := range t.edges {
 		var code int
 		r.tr.do("serve.edge", 0, func() { code = serveEdge(e) })
@@ -862,6 +886,7 @@ func readLayers(r *report, in *readInputs, t *readTraffic, sched []op, lr loadRe
 		}
 	}
 	r.set("serve.http_edge_p50_ms", "ms", quantile(seconds(r.tr.durations("serve.http_edge")), 0.50)*1e3)
+	r.set("read_max_rps", "1/s", maxReadRate(t, f.routerHTTP.url, client, in.store, r))
 	return nil
 }
 

@@ -154,8 +154,8 @@ func saveArtifact(ds *social.Dataset, res *core.Result, seed int64) ([]byte, err
 	return buf.Bytes(), nil
 }
 
-// trainToArtifact is the train_s operation: dataset in hand to saved
-// artifact bytes through the public API.
+// trainToArtifact is the training workloads' operation: dataset in hand
+// to saved artifact bytes through the public API.
 func trainToArtifact(ds *social.Dataset, cfg locec.Config) (*core.Result, []byte, error) {
 	res, err := locec.Classify(ds, cfg)
 	if err != nil {
@@ -233,7 +233,16 @@ func runTrain(s trainShape, o options, r *report) error {
 		}
 	}
 	if o.trace {
-		return tracedTrain(s, ds, test, o, r)
+		t, err := tracedTrain(s, ds, test, o, r)
+		if err != nil {
+			return err
+		}
+		if err := writeTour(o, r, ds, t); err != nil {
+			return err
+		}
+		lr, err := readTour(o, r, t.data)
+		setGen(r, lr)
+		return err
 	}
 	r.set("setup_s", "s", median(setups))
 
@@ -286,37 +295,57 @@ func runTrain(s trainShape, o options, r *report) error {
 	if len(times) == 0 {
 		return fmt.Errorf("every training failed")
 	}
-	r.set("train_s", "s", median(times))
+	r.set("op_p50_ms", "ms", median(times)*1e3)
 	r.set("peak_rss_mb", "MB", median(peaks))
 	r.set("macro_f1", "ratio", f1)
 	fmt.Fprintf(o.log, "perfbench: train: %d trainings, edgestore digest %s\n", len(times), digest)
 	return nil
 }
 
+// trained is one finished training: the pipeline that ran it (nil when
+// it ran through the public API), its result and the saved artifact.
+type trained struct {
+	p    *core.Pipeline
+	res  *core.Result
+	data []byte
+}
+
+// trainPublic trains through the public API, as `locec train` does.
+func trainPublic(s trainShape, ds *social.Dataset, seed int64) (*trained, error) {
+	cfg, err := s.publicConfig(seed)
+	if err != nil {
+		return nil, err
+	}
+	res, data, err := trainToArtifact(ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &trained{res: res, data: data}, nil
+}
+
 // tracedTrain runs Pipeline.Run untraced, then the same pipeline composed
 // from the public stages with a span around each call, and requires both
-// to produce the same EdgeStore. The difference in wall time is the
-// tracing overhead.
-func tracedTrain(s trainShape, ds *social.Dataset, test []uint64, o options, r *report) error {
+// to produce the same EdgeStore. It reports the training layers' metrics
+// and returns the traced pipeline, which the write tour mutates.
+func tracedTrain(s trainShape, ds *social.Dataset, test []uint64, o options, r *report) (*trained, error) {
 	refCfg, err := s.coreConfig(o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.attempted++
-	t0 := time.Now()
 	ref, err := core.NewPipeline(refCfg).Run(ds)
-	untraced := time.Since(t0)
 	if err != nil {
-		return fmt.Errorf("pipeline run: %w", err)
+		return nil, fmt.Errorf("pipeline run: %w", err)
 	}
 
 	cfg, err := s.coreConfig(o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tr := r.tr
 	p := core.NewPipeline(cfg)
 	res := &core.Result{ClassifierName: cfg.Classifier.Name(), Classifier: cfg.Classifier}
+	// The Phase II learner is gbdt for XGB and nn for CommCNN.
 	fitName := "gbdt.fit"
 	if s.variant == locec.VariantCNN {
 		fitName = "nn.fit"
@@ -341,7 +370,7 @@ func tracedTrain(s trainShape, ds *social.Dataset, test []uint64, o options, r *
 	fit := tr.do(fitName, root, func() { stageErr = p.TrainClassifier(ds, res.Communities) })
 	runtime.ReadMemStats(&ms1)
 	if stageErr != nil {
-		return stageErr
+		return nil, stageErr
 	}
 	classify := tr.do("core.classify_communities", root, func() { p.ClassifyCommunities(ds, res.Communities) })
 	combineID := tr.begin("core.combine", root)
@@ -349,17 +378,17 @@ func tracedTrain(s trainShape, ds *social.Dataset, test []uint64, o options, r *
 	stageErr = p.Combine(ds, res)
 	combine := tr.end(combineID)
 	if stageErr != nil {
-		return stageErr
+		return nil, stageErr
 	}
 	// logreg.Train runs inside Combine; its span comes from the
 	// program's own phase timer.
 	tr.add("logreg.train", combineID, combineStart, combineStart.Add(res.Times.CombinerTrain), "program-timer")
-	traced := tr.end(root)
+	tr.end(root)
 
 	var data []byte
 	save := tr.do("artifact.save", 0, func() { data, stageErr = saveArtifact(ds, res, o.seed) })
 	if stageErr != nil {
-		return stageErr
+		return nil, stageErr
 	}
 
 	if o.corrupt {
@@ -376,13 +405,9 @@ func tracedTrain(s trainShape, ds *social.Dataset, test []uint64, o options, r *
 	r.set("community.divide_s", "s", divide.Seconds())
 	r.set("community.communities", "count", float64(len(res.Communities)))
 	r.set("community.mean_size", "nodes", mean(sizes))
-	if s.variant == locec.VariantXGB {
-		r.set("gbdt.fit_s", "s", fit.Seconds())
-		r.set("gbdt.rows", "count", float64(trainComms))
-	} else {
-		r.set("nn.fit_s", "s", fit.Seconds())
-		r.set("nn.alloc_mb", "MB", float64(ms1.TotalAlloc-ms0.TotalAlloc)/(1<<20))
-	}
+	r.set("learner.fit_s", "s", fit.Seconds())
+	r.set("learner.rows", "count", float64(trainComms))
+	r.set("learner.alloc_mb", "MB", float64(ms1.TotalAlloc-ms0.TotalAlloc)/(1<<20))
 	r.set("core.classify_communities_s", "s", classify.Seconds())
 	labeled := len(ds.LabeledEdges())
 	r.set("logreg.train_s", "s", res.Times.CombinerTrain.Seconds())
@@ -398,8 +423,7 @@ func tracedTrain(s trainShape, ds *social.Dataset, test []uint64, o options, r *
 	r.set("tensor.gflop", "GFLOP-computed", gf/1e9)
 	r.set("artifact.save_s", "s", save.Seconds())
 	r.set("artifact.bytes", "bytes", float64(len(data)))
-	r.set("trace.overhead_s", "s", (traced - untraced).Seconds())
-	return nil
+	return &trained{p: p, res: res, data: data}, nil
 }
 
 // logregEpochs is logreg's default epoch count, which the pipeline uses.
