@@ -7,8 +7,8 @@ import "locec/internal/tensor"
 // definition of the operator and exist so the equivalence tests can assert,
 // on every kernel geometry the paper uses, that the lowered path computes
 // the same function (forward, input gradient, parameter gradients) to
-// within floating-point noise. They allocate freely — never call them on a
-// hot path.
+// within floating-point noise. They live in a test file so the binaries
+// ship only the lowered implementation, and they allocate freely.
 
 // naiveForward computes the convolution output with direct loops.
 func (c *Conv2D) naiveForward(x *tensor.Tensor) *tensor.Tensor {

@@ -44,10 +44,12 @@ type TrainConfig struct {
 	Optimizer Optimizer
 	Seed      int64
 	// Workers sets the data-parallel width within a batch; 0 means
-	// GOMAXPROCS. Gradients accumulate into the shared Params under a
-	// per-worker clone of the network, so results are deterministic only
-	// for Workers == 1 (floating-point accumulation order varies
-	// otherwise); class predictions are stable in practice.
+	// GOMAXPROCS. Worker w takes every Workers-th sample of a batch into
+	// a private gradient accumulator, and the accumulators merge into the
+	// shared Params in worker order, so Fit is reproducible for any fixed
+	// worker count. Different counts sum the gradients in a different
+	// order and so train slightly different weights; class predictions
+	// are stable in practice.
 	Workers int
 	// OnEpoch, if non-nil, receives (epoch, meanLoss) after each epoch.
 	OnEpoch func(epoch int, meanLoss float64)

@@ -184,6 +184,48 @@ func TestGlobalMaxPool(t *testing.T) {
 	}
 }
 
+// TestPoolBackwardNonFiniteWindows is the regression test for windows
+// holding only -Inf or NaN: no value ever beats the running max, so the
+// chosen cell must be the window's first element rather than an index of
+// -1 that Backward would write through.
+func TestPoolBackwardNonFiniteWindows(t *testing.T) {
+	negInf, nan := math.Inf(-1), math.NaN()
+
+	mp := NewMaxPool2()
+	x := tensor.NewTensor(1, 3, 3)
+	// Windows {0,1,3,4} all -Inf, {2,5} all NaN, {6,7} mixed, {8} NaN.
+	copy(x.Data, []float64{negInf, negInf, nan, negInf, negInf, nan, nan, 2, nan})
+	out := mp.Forward(x)
+	if !math.IsInf(out.Data[0], -1) || !math.IsNaN(out.Data[1]) || !math.IsNaN(out.Data[3]) {
+		t.Fatalf("pool out = %v", out.Data)
+	}
+	g := tensor.NewTensor(1, 2, 2)
+	copy(g.Data, []float64{1, 2, 3, 4})
+	gi := mp.Backward(g)
+	// Each all-non-finite window routes to its first cell; the first cell
+	// of {6,7} is NaN, which nothing beats, so it keeps the gradient too.
+	want := []float64{1, 0, 2, 0, 0, 0, 3, 0, 4}
+	for i, v := range want {
+		if gi.Data[i] != v {
+			t.Fatalf("pool backward = %v, want %v", gi.Data, want)
+		}
+	}
+
+	gp := NewGlobalMaxPool()
+	x = tensor.NewTensor(2, 1, 3)
+	copy(x.Data, []float64{negInf, negInf, negInf, nan, nan, nan})
+	gp.Forward(x)
+	g = tensor.NewTensor(2, 1, 1)
+	g.Data[0], g.Data[1] = 5, 7
+	gi = gp.Backward(g)
+	want = []float64{5, 0, 0, 7, 0, 0}
+	for i, v := range want {
+		if gi.Data[i] != v {
+			t.Fatalf("gmp backward = %v, want %v", gi.Data, want)
+		}
+	}
+}
+
 func TestSoftmaxProperties(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) {
@@ -304,6 +346,30 @@ func TestFitParallelMatchesSerialPredictions(t *testing.T) {
 	sAcc, pAcc := serial.Accuracy(xs, ys), par.Accuracy(xs, ys)
 	if math.Abs(sAcc-pAcc) > 0.15 {
 		t.Fatalf("parallel training diverged: serial %.3f parallel %.3f", sAcc, pAcc)
+	}
+}
+
+// TestFitParallelIsReproducible pins what Workers > 1 does promise: the
+// stride split and the gradient merge order are fixed, so two Fits at the
+// same worker count produce bit-identical weights (dropout included —
+// each clone's RNG derives from the seeded original).
+func TestFitParallelIsReproducible(t *testing.T) {
+	xs, ys := synthTask(90, 6, 4, 31)
+	fit := func() []*Param {
+		net, err := NewCommCNN(CommCNNConfig{K: 6, Features: 4, Classes: 3, Filters: 3, Hidden: 8, Dropout: 0.2, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Fit(xs, ys, TrainConfig{Epochs: 4, BatchSize: 15, Seed: 9, Workers: 2, Optimizer: NewAdam(0.01)})
+		return net.Root.Params()
+	}
+	a, b := fit(), fit()
+	for pi := range a {
+		for i := range a[pi].W {
+			if math.Float64bits(a[pi].W[i]) != math.Float64bits(b[pi].W[i]) {
+				t.Fatalf("%s[%d]: %v vs %v across two Workers=2 fits", a[pi].Name, i, a[pi].W[i], b[pi].W[i])
+			}
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"locec/internal/tensor"
-)
+import "locec/internal/tensor"
 
 // MaxPool2 is a 2×2 max pooling layer with stride 2. Odd trailing rows or
 // columns are covered by a final partial window so no activation is lost
@@ -35,8 +31,11 @@ func (p *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for c := 0; c < x.C; c++ {
 		for y := 0; y < oh; y++ {
 			for xw := 0; xw < ow; xw++ {
-				best := math.Inf(-1)
-				bestIdx := -1
+				// Seed from the window's first element (it always exists
+				// under ceil-mode pooling) so a window of only -Inf or NaN
+				// still routes its gradient to a real input cell.
+				bestIdx := x.Idx(c, 2*y, 2*xw)
+				best := x.Data[bestIdx]
 				for dy := 0; dy < 2; dy++ {
 					iy := 2*y + dy
 					if iy >= x.H {
@@ -102,10 +101,9 @@ func (p *GlobalMaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.argmax = ensureInts(p.argmax, x.C)
 	hw := x.H * x.W
 	for c := 0; c < x.C; c++ {
-		best := math.Inf(-1)
-		bestIdx := -1
 		base := c * hw
-		for i := 0; i < hw; i++ {
+		best, bestIdx := x.Data[base], base
+		for i := 1; i < hw; i++ {
 			if v := x.Data[base+i]; v > best {
 				best = v
 				bestIdx = base + i

@@ -5,14 +5,28 @@ import (
 	"sync"
 )
 
-// Small cache-blocked GEMM kernels backing the im2col convolution path in
-// internal/nn. All operands are dense row-major float64 slices owned by the
-// caller; every kernel writes into a preallocated destination so the hot
-// path performs no allocation on small shapes. Matrices here are
-// tiny-to-small (tens to a few hundred per side), so the kernels favor a
-// simple i-k-j loop order — the inner loop streams both the B row and the
-// C row contiguously — with one level of blocking to keep the working set
-// in L1/L2 on larger shapes.
+// Small GEMM kernels backing the im2col convolution path in internal/nn.
+// All operands are dense row-major float64 slices owned by the caller;
+// every kernel writes into a preallocated destination so the hot path
+// performs no allocation on small shapes. Matrices here are tiny-to-small
+// (tens to a few hundred per side — CommCNN's largest is 8×72×208), and Go
+// emits scalar SSE2 for these loops, so the kernels are register-blocked
+// rather than cache-tuned: each generic kernel folds four terms into one
+// load and store of a dst element (MatMul, MatMulATB) or runs four
+// independent dot-product chains off one load of the shared operand
+// (MatMulABTAcc), with slice-length hints that remove the bounds checks
+// from the inner loops. One level of k/j blocking keeps the working set in
+// L1/L2 on larger shapes.
+//
+// The blocking is order-preserving: every dst element accumulates exactly
+// the terms of the plain per-term loop, in the same order, and a 4-term
+// group holding a zero a value falls back to that loop, whose zero-skip
+// (a -0 dst stays -0, Inf·0 is never formed) it therefore keeps. The
+// kernels are Float64bits-identical to the per-term loops retained in
+// gemm_reference_test.go, so trained models do not move when they change.
+// The n ≤ 4 and k = 3 paths and the gather kernels serve the Phase III
+// combiner's class-count shapes; they keep the same per-element order but
+// add zero terms instead of skipping them.
 //
 // Above gemmParallelFlops of work each kernel fans its output rows across
 // GOMAXPROCS goroutines. The split is over OUTPUT rows only, so every dst
@@ -77,9 +91,7 @@ func parallelRows(rows, workers int, fn func(lo, hi int)) {
 // over both b and dst.
 func MatMul(dst, a, b []float64, m, k, n int) {
 	checkGemm(len(dst), len(a), len(b), m, k, n)
-	for i := range dst[:m*n] {
-		dst[i] = 0
-	}
+	clear(dst[:m*n])
 	matMulAcc(dst, a, b, m, k, n)
 }
 
@@ -119,18 +131,47 @@ func matMulAccRows(dst, a, b []float64, i0, i1, k, n int) {
 			for i := i0; i < i1; i++ {
 				ci := dst[i*n+j0 : i*n+j1]
 				ai := a[i*k : (i+1)*k]
-				for kk := k0; kk < k1; kk++ {
-					av := ai[kk]
-					if av == 0 {
+				kk := k0
+				for ; kk+4 <= k1; kk += 4 {
+					a0, a1, a2, a3 := ai[kk], ai[kk+1], ai[kk+2], ai[kk+3]
+					if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+						for t := kk; t < kk+4; t++ {
+							axpy(ci, ai[t], b[t*n+j0:t*n+j1])
+						}
 						continue
 					}
-					bk := b[kk*n+j0 : kk*n+j1]
-					for j, bv := range bk {
-						ci[j] += av * bv
+					b0 := b[kk*n+j0 : kk*n+j1]
+					b1 := b[(kk+1)*n+j0 : (kk+1)*n+j1]
+					b2 := b[(kk+2)*n+j0 : (kk+2)*n+j1]
+					b3 := b[(kk+3)*n+j0 : (kk+3)*n+j1]
+					b1, b2, b3, c := b1[:len(b0)], b2[:len(b0)], b3[:len(b0)], ci[:len(b0)]
+					for j, bv := range b0 {
+						v := c[j]
+						v += a0 * bv
+						v += a1 * b1[j]
+						v += a2 * b2[j]
+						v += a3 * b3[j]
+						c[j] = v
 					}
+				}
+				for ; kk < k1; kk++ {
+					axpy(ci, ai[kk], b[kk*n+j0:kk*n+j1])
 				}
 			}
 		}
+	}
+}
+
+// axpy is the per-term step every generic kernel falls back to: dst +=
+// av·x, skipped entirely when av is zero (so a -0 dst element stays -0
+// and an Inf or NaN in x never meets a zero weight).
+func axpy(dst []float64, av float64, x []float64) {
+	if av == 0 {
+		return
+	}
+	dst = dst[:len(x)]
+	for j, xv := range x {
+		dst[j] += av * xv
 	}
 }
 
@@ -228,29 +269,12 @@ func MatMulATB(dst, a, b []float64, m, k, n int) {
 	if len(dst) < k*n || len(a) < m*k || len(b) < m*n {
 		panic("tensor: MatMulATB dimension mismatch")
 	}
-	for i := range dst[:k*n] {
-		dst[i] = 0
-	}
+	clear(dst[:k*n])
 	if w := gemmWorkers(k, m*k*n); w > 1 {
-		// Partition the OUTPUT rows kk. The serial i-outer loop touches
-		// each dst element in i-ascending order; this kk-outer form
-		// accumulates the same elements over the same ascending i, so the
-		// sums are bit-identical while no two goroutines share a dst row.
+		// Partition the OUTPUT rows kk: no two goroutines share a dst row,
+		// and each row accumulates over ascending i as in the serial call.
 		parallelRows(k, w, func(lo, hi int) {
-			for i := 0; i < m; i++ {
-				ai := a[i*k : (i+1)*k]
-				bi := b[i*n : (i+1)*n]
-				for kk := lo; kk < hi; kk++ {
-					av := ai[kk]
-					if av == 0 {
-						continue
-					}
-					ck := dst[kk*n : (kk+1)*n]
-					for j, bv := range bi {
-						ck[j] += av * bv
-					}
-				}
-			}
+			matMulATBRows(dst, a, b, lo, hi, m, k, n)
 		})
 		return
 	}
@@ -258,7 +282,7 @@ func MatMulATB(dst, a, b []float64, m, k, n int) {
 		// Three output rows (the combiner-gradient shape: k = class
 		// count) are hoisted out of the i loop and each streamed B row is
 		// read once for all three. Per dst element the accumulation still
-		// runs over ascending i — identical to the generic loop below.
+		// runs over ascending i, the generic kernel's order.
 		c0 := dst[0:n:n]
 		c1 := dst[n : 2*n : 2*n]
 		c2 := dst[2*n : 3*n : 3*n]
@@ -274,17 +298,41 @@ func MatMulATB(dst, a, b []float64, m, k, n int) {
 		}
 		return
 	}
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		bi := b[i*n : (i+1)*n]
-		for kk, av := range ai {
-			if av == 0 {
+	matMulATBRows(dst, a, b, 0, k, m, k, n)
+}
+
+// matMulATBRows accumulates dst rows [k0, k1) of aᵀ·b. Each dst row kk
+// is loaded and stored once per four a rows: the four terms a[i][kk]·b[i]
+// are added in ascending i, the order of the per-term loop, which any
+// group holding a zero a value falls back to.
+func matMulATBRows(dst, a, b []float64, k0, k1, m, k, n int) {
+	for kk := k0; kk < k1; kk++ {
+		ck := dst[kk*n : (kk+1)*n]
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			a0, a1, a2, a3 := a[i*k+kk], a[(i+1)*k+kk], a[(i+2)*k+kk], a[(i+3)*k+kk]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				for t := i; t < i+4; t++ {
+					axpy(ck, a[t*k+kk], b[t*n:(t+1)*n])
+				}
 				continue
 			}
-			ck := dst[kk*n : (kk+1)*n]
-			for j, bv := range bi {
-				ck[j] += av * bv
+			b0 := b[i*n : (i+1)*n]
+			b1 := b[(i+1)*n : (i+2)*n]
+			b2 := b[(i+2)*n : (i+3)*n]
+			b3 := b[(i+3)*n : (i+4)*n]
+			b1, b2, b3, c := b1[:len(b0)], b2[:len(b0)], b3[:len(b0)], ck[:len(b0)]
+			for j, bv := range b0 {
+				v := c[j]
+				v += a0 * bv
+				v += a1 * b1[j]
+				v += a2 * b2[j]
+				v += a3 * b3[j]
+				c[j] = v
 			}
+		}
+		for ; i < m; i++ {
+			axpy(ck, a[i*k+kk], b[i*n:(i+1)*n])
 		}
 	}
 }
@@ -316,8 +364,32 @@ func matMulABTAccRows(dst, a, b []float64, i0, i1, n, p int) {
 	for i := i0; i < i1; i++ {
 		ai := a[i*p : (i+1)*p]
 		di := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			// Four dot products share each loaded a element; each keeps
+			// its own chain over ascending t, so the four independent
+			// chains hide the add latency without reordering any sum.
+			b0 := b[j*p : (j+1)*p]
+			b1 := b[(j+1)*p : (j+2)*p]
+			b2 := b[(j+2)*p : (j+3)*p]
+			b3 := b[(j+3)*p : (j+4)*p]
+			b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
+			var s0, s1, s2, s3 float64
+			for t, av := range ai {
+				s0 += av * b0[t]
+				s1 += av * b1[t]
+				s2 += av * b2[t]
+				s3 += av * b3[t]
+			}
+			d := di[j : j+4 : j+4]
+			d[0] += s0
+			d[1] += s1
+			d[2] += s2
+			d[3] += s3
+		}
+		for ; j < n; j++ {
 			bj := b[j*p : (j+1)*p]
+			bj = bj[:len(ai)]
 			s := 0.0
 			for t, av := range ai {
 				s += av * bj[t]
