@@ -1,11 +1,11 @@
 // Command locec-serve is the LoCEC classification service: it synthesizes
 // (or loads) a WeChat-like network, classifies every friendship with the
-// three-phase pipeline across a sharded worker pool, and serves the result
+// three-phase pipeline across a worker pool, and serves the result
 // over HTTP/JSON from an atomically swappable in-memory snapshot.
 //
 // Usage:
 //
-//	locec-serve -addr :8080 -users 800 -variant cnn -shards 8
+//	locec-serve -addr :8080 -users 800 -variant cnn -workers 8
 //
 // Endpoints:
 //
@@ -51,6 +51,7 @@ import (
 	"time"
 
 	artifactpkg "locec/internal/artifact"
+	"locec/internal/core"
 	"locec/internal/iodata"
 	"locec/internal/serve"
 	"locec/internal/social"
@@ -63,12 +64,6 @@ func main() {
 		users    = flag.Int("users", 800, "population size (synthetic mode)")
 		seed     = flag.Int64("seed", 42, "random seed for the initial snapshot")
 		survey   = flag.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
-		variant  = flag.String("variant", "cnn", "community classifier: cnn or xgb")
-		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
-		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
-		shards   = flag.Int("shards", 0, "worker shards for division and training (0 = GOMAXPROCS)")
-		gbdtW    = flag.Int("gbdt-workers", 0, "GBDT split-finding workers, bit-identical trees at any value (0 = -shards)")
-		detector = flag.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
 		patience = flag.Int("gn-patience", 20, "Girvan-Newman early-stop patience (0 = exact)")
 		cache    = flag.Int("cache", 256, "batch-response LRU cache entries")
 		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
@@ -81,23 +76,24 @@ func main() {
 		ckptBytes   = flag.Int64("wal-checkpoint-bytes", 4<<20, "checkpoint when the log reaches this many bytes")
 		ckptRatio   = flag.Float64("wal-checkpoint-ratio", 0.25, "checkpoint when mutations-since-checkpoint / graph edges reaches this ratio")
 	)
+	spec := core.Spec{K: 16, Epochs: 8}
+	spec.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	cfg := serve.Config{
-		Users:       *users,
-		Survey:      *survey,
-		Seed:        *seed,
-		Variant:     *variant,
-		K:           *k,
-		Epochs:      *epochs,
-		Shards:      *shards,
-		GBDTWorkers: *gbdtW,
-		Detector:    *detector,
-		GNPatience:  *patience,
-		CacheSize:   *cache,
-		Artifact:    *artifact,
-		Logger:      log,
+		Users:      *users,
+		Survey:     *survey,
+		Seed:       *seed,
+		Variant:    spec.Variant.Name(),
+		K:          spec.K,
+		Epochs:     spec.Epochs,
+		Workers:    spec.Workers,
+		Detector:   spec.Detector.String(),
+		GNPatience: *patience,
+		CacheSize:  *cache,
+		Artifact:   *artifact,
+		Logger:     log,
 
 		WALDir:            *walDir,
 		CheckpointRecords: *ckptRecords,
@@ -150,7 +146,7 @@ func main() {
 		log.Info("cold-starting from artifact", "path", *artifact, "shard", *shard)
 	} else {
 		log.Info("building initial snapshot",
-			"users", *users, "variant", *variant, "shards", *shards, "seed", *seed)
+			"users", *users, "variant", spec.Variant.Name(), "workers", spec.Workers, "seed", *seed)
 	}
 
 	// Bind the port before the snapshot build: while serve.New runs (a

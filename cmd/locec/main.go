@@ -47,18 +47,16 @@ func main() {
 		}
 	}
 	var (
-		users    = flag.Int("users", 800, "population size (synthetic mode)")
-		seed     = flag.Int64("seed", 42, "random seed")
-		survey   = flag.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
-		variant  = flag.String("variant", "cnn", "community classifier: cnn or xgb")
-		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
-		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
-		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
-		export   = flag.String("export", "", "write per-edge predictions to this CSV file")
-		detector = flag.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
-		gbdtW    = flag.Int("gbdt-workers", 0, "GBDT split-finding workers, bit-identical trees at any value (0 = GOMAXPROCS)")
+		users  = flag.Int("users", 800, "population size (synthetic mode)")
+		seed   = flag.Int64("seed", 42, "random seed")
+		survey = flag.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
+		input  = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
+		export = flag.String("export", "", "write per-edge predictions to this CSV file")
 	)
+	cfg := cliConfig()
+	cfg.BindFlags(flag.CommandLine)
 	flag.Parse()
+	cfg.Seed = *seed
 
 	ds, err := loadOrSynthesize(*input, *users, *seed, *survey)
 	if err != nil {
@@ -75,17 +73,8 @@ func main() {
 		delete(ds.Revealed, kk)
 	}
 
-	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed, GBDTWorkers: *gbdtW}
-	if *variant == "xgb" {
-		cfg.Variant = locec.VariantXGB
-	}
-	det, err := locec.ParseDetector(*detector)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Detector = det
 	fmt.Printf("locec: %d users, %d friendships, %d labeled (train) / %d held out, variant %s, detector %s\n",
-		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), len(test), cfg.Variant, *detector)
+		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), len(test), cfg.Variant, cfg.Detector)
 
 	res, err := locec.Classify(ds, cfg)
 	if err != nil {
@@ -132,19 +121,17 @@ func main() {
 func runTrain(args []string) {
 	fs := flag.NewFlagSet("locec train", flag.ExitOnError)
 	var (
-		users    = fs.Int("users", 800, "population size (synthetic mode)")
-		seed     = fs.Int64("seed", 42, "random seed")
-		survey   = fs.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
-		variant  = fs.String("variant", "cnn", "community classifier: cnn or xgb")
-		k        = fs.Int("k", 16, "feature matrix rows (CommCNN)")
-		epochs   = fs.Int("epochs", 8, "CommCNN training epochs")
-		input    = fs.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
-		out      = fs.String("out", "model.locec", "artifact output path")
-		detector = fs.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
-		embed    = fs.Bool("embed-dataset", false, "embed the raw dataset so the artifact stays mutable (required for WAL checkpoints and POST /v1/mutations after a cold start)")
-		gbdtW    = fs.Int("gbdt-workers", 0, "GBDT split-finding workers, bit-identical trees at any value (0 = GOMAXPROCS)")
+		users  = fs.Int("users", 800, "population size (synthetic mode)")
+		seed   = fs.Int64("seed", 42, "random seed")
+		survey = fs.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
+		input  = fs.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
+		out    = fs.String("out", "model.locec", "artifact output path")
+		embed  = fs.Bool("embed-dataset", false, "embed the raw dataset so the artifact stays mutable (required for WAL checkpoints and POST /v1/mutations after a cold start)")
 	)
+	cfg := cliConfig()
+	cfg.BindFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
+	cfg.Seed = *seed
 
 	ds, err := loadOrSynthesize(*input, *users, *seed, *survey)
 	if err != nil {
@@ -153,17 +140,8 @@ func runTrain(args []string) {
 	if len(ds.LabeledEdges()) == 0 {
 		fatal(fmt.Errorf("dataset has no revealed labels; generate with -survey or mark edges revealed"))
 	}
-	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed, GBDTWorkers: *gbdtW}
-	if *variant == "xgb" {
-		cfg.Variant = locec.VariantXGB
-	}
-	det, err := locec.ParseDetector(*detector)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Detector = det
 	fmt.Printf("locec train: %d users, %d friendships, %d labeled, variant %s, detector %s\n",
-		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), cfg.Variant, *detector)
+		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), cfg.Variant, cfg.Detector)
 
 	res, err := locec.Classify(ds, cfg)
 	if err != nil {
@@ -197,6 +175,10 @@ func runTrain(args []string) {
 		*out, info.Size(), res.NumCommunities(), ds.G.NumEdges())
 	fmt.Printf("serve it with: locec-serve -artifact %s\n", *out)
 }
+
+// cliConfig is the pipeline the one-shot run and train start from before
+// flags: a lighter CommCNN (k = 16, 8 epochs) than the engine defaults.
+func cliConfig() locec.Config { return locec.Config{K: 16, Epochs: 8} }
 
 // exportCSV writes one row per edge: u,v,predicted,probabilities.
 func exportCSV(path string, ds *social.Dataset, res *locec.Result) error {

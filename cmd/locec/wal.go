@@ -83,10 +83,11 @@ func runWalReplay(args []string) int {
 	var (
 		dir      = fs.String("dir", "", "WAL directory (as given to locec-serve -wal)")
 		out      = fs.String("out", "replayed.locec", "artifact output path")
-		shards   = fs.Int("shards", 0, "worker shards for the dirty-set recompute (0 = GOMAXPROCS)")
-		detector = fs.String("detector", "gn", "Phase I detector the serving config used: "+strings.Join(core.DetectorNames(), ", "))
+		workers  = fs.Int("workers", 0, "worker goroutines for the dirty-set recompute (0 = GOMAXPROCS)")
 		patience = fs.Int("gn-patience", 20, "Girvan-Newman early-stop patience (0 = exact)")
+		detector core.DetectorKind
 	)
+	fs.TextVar(&detector, "detector", core.DetectorGirvanNewman, "Phase I detector `name` the serving config used: "+strings.Join(core.DetectorNames(), ", "))
 	_ = fs.Parse(args)
 	if *dir == "" {
 		fatal(fmt.Errorf("wal-replay: -dir is required"))
@@ -109,13 +110,10 @@ func runWalReplay(args []string) int {
 	}
 	meta := art.Meta()
 
-	divCfg := core.DivisionConfig{Workers: *shards, Seed: meta.Seed, GNPatience: *patience}
-	det, err := core.ParseDetector(*detector)
-	if err != nil {
-		fatal(fmt.Errorf("wal-replay: %w", err))
-	}
-	divCfg.Detector = det
-	pipe := core.NewPipeline(core.Config{Division: divCfg, Seed: meta.Seed})
+	// The checkpoint's models replace the spec's fresh classifier; the
+	// spec supplies the division settings the server ran with.
+	spec := core.Spec{Detector: detector, Workers: *workers, GNPatience: *patience, Seed: meta.Seed}
+	pipe := core.NewPipeline(spec.Config())
 	res, err := pipe.RunFromArtifact(ex)
 	if err != nil {
 		fatal(err)

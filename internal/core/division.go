@@ -194,7 +194,8 @@ type DivisionConfig struct {
 //
 // Nodes are processed independently — the property that lets the deployed
 // system stream a billion-node graph across servers (Section V-D) — so the
-// local run uses a simple worker pool. It is DivideNodes over every node.
+// local run spreads them over one worker pool (forEachNode). It is
+// DivideNodes over every node.
 func Divide(ds *social.Dataset, cfg DivisionConfig) []*EgoResult {
 	n := ds.G.NumNodes()
 	results := make([]*EgoResult, n)
@@ -216,9 +217,20 @@ func Divide(ds *social.Dataset, cfg DivisionConfig) []*EgoResult {
 // Divide.
 //
 // Listed nodes must be in range of egos; distinct nodes write distinct
-// indices, so the worker pool needs no locking.
+// indices, so the worker pool needs no locking. The batch run, the serving
+// layer and the incremental engine all divide through this scheduler.
 func DivideNodes(ds *social.Dataset, egos []*EgoResult, nodes []graph.NodeID, cfg DivisionConfig) {
-	workers := cfg.Workers
+	forEachNode(nodes, cfg.Workers, func(u graph.NodeID) {
+		egos[u] = divideOne(ds, u, cfg)
+	})
+}
+
+// forEachNode is the Phase I scheduler: it runs fn on every listed node
+// across up to workers goroutines (0 = GOMAXPROCS). Each worker claims the
+// next unprocessed index from a shared atomic counter: no producer
+// goroutine, no channel hand-off per node. fn must be safe to call
+// concurrently for distinct nodes.
+func forEachNode(nodes []graph.NodeID, workers int, fn func(graph.NodeID)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -227,25 +239,25 @@ func DivideNodes(ds *social.Dataset, egos []*EgoResult, nodes []graph.NodeID, cf
 	}
 	if workers <= 1 {
 		for _, u := range nodes {
-			egos[u] = divideOne(ds, u, cfg)
+			fn(u)
 		}
 		return
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	next := make(chan graph.NodeID, workers*4)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for u := range next {
-				egos[u] = divideOne(ds, u, cfg)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(nodes) {
+					return
+				}
+				fn(nodes[i])
 			}
 		}()
 	}
-	for _, u := range nodes {
-		next <- u
-	}
-	close(next)
 	wg.Wait()
 }
 
@@ -354,15 +366,8 @@ func finishEgo(ds *social.Dataset, ego graph.NodeID, en *graph.EgoNetwork, part 
 // graph. Returns how many egos took the seeded path.
 func (p *Pipeline) divideNodesSeeded(ds *social.Dataset, oldEgos, egos []*EgoResult, nodes []graph.NodeID, touched []graph.NodeID, ov *graph.Overlay) int {
 	cfg := p.cfg.Division
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
 	var seeded atomic.Int64
-	work := func(u graph.NodeID) {
+	forEachNode(nodes, cfg.Workers, func(u graph.NodeID) {
 		old := oldEgos[u]
 		if old != nil && old.Local != nil && slices.Equal(old.Members, ov.Neighbors(u)) {
 			if r, ok := divideOneSeeded(ds, u, cfg, old, touched); ok {
@@ -372,29 +377,7 @@ func (p *Pipeline) divideNodesSeeded(ds *social.Dataset, oldEgos, egos []*EgoRes
 			}
 		}
 		egos[u] = divideOne(ds, u, cfg)
-	}
-	if workers <= 1 {
-		for _, u := range nodes {
-			work(u)
-		}
-		return int(seeded.Load())
-	}
-	var wg sync.WaitGroup
-	next := make(chan graph.NodeID, workers*4)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range next {
-				work(u)
-			}
-		}()
-	}
-	for _, u := range nodes {
-		next <- u
-	}
-	close(next)
-	wg.Wait()
+	})
 	return int(seeded.Load())
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -137,36 +136,23 @@ func NewPipeline(cfg Config) *Pipeline {
 // Run executes the three phases on the dataset and labels every edge.
 // Training data comes exclusively from ds.Revealed; the caller controls
 // train/test isolation by hiding labels before the run.
-func (p *Pipeline) Run(ds *social.Dataset) (*Result, error) {
-	t0 := time.Now()
-	egos := Divide(ds, p.cfg.Division)
-	return p.RunWithEgos(ds, egos, time.Since(t0))
-}
-
-// RunWithEgos executes Phases II and III on a precomputed Phase I division
-// (one EgoResult per node, indexed by node ID). Callers that shard the
-// division themselves — e.g. a serving layer partitioning ego networks by
-// node ID across workers — compute egos however they like and hand the
-// pieces here; phase1 is recorded as the division wall-clock time.
 //
 // The body is a composition of the staged implementation in stages.go —
-// TrainClassifier, ClassifyCommunities, then Combine — the same stages the
-// incremental engine replays over a dirty subset.
-func (p *Pipeline) RunWithEgos(ds *social.Dataset, egos []*EgoResult, phase1 time.Duration) (*Result, error) {
-	if len(egos) != ds.G.NumNodes() {
-		return nil, fmt.Errorf("core: %d ego results for %d nodes", len(egos), ds.G.NumNodes())
-	}
+// Divide, TrainClassifier, ClassifyCommunities, then Combine — the same
+// stages the incremental engine replays over a dirty subset.
+func (p *Pipeline) Run(ds *social.Dataset) (*Result, error) {
 	res := &Result{ClassifierName: p.cfg.Classifier.Name(), Classifier: p.cfg.Classifier}
 
-	// ---- Phase I: division (precomputed) ----------------------------
-	res.Egos = egos
+	// ---- Phase I: division ------------------------------------------
+	t0 := time.Now()
+	res.Egos = Divide(ds, p.cfg.Division)
 	for _, er := range res.Egos {
 		res.Communities = append(res.Communities, er.Comms...)
 	}
-	res.Times.Phase1 = phase1
+	res.Times.Phase1 = time.Since(t0)
 
 	// ---- Phase II: aggregation --------------------------------------
-	t0 := time.Now()
+	t0 = time.Now()
 	if err := p.TrainClassifier(ds, res.Communities); err != nil {
 		return nil, err
 	}
@@ -188,7 +174,7 @@ func (p *Pipeline) RunWithEgos(ds *social.Dataset, egos []*EgoResult, phase1 tim
 // Combine runs Phase III on a Result whose Egos already carry classified
 // communities (Phases I+II done), filling res.Edges with every edge's
 // prediction: TrainCombiner followed by prediction
-// over the full edge list. RunWithEgos calls it as its final stage;
+// over the full edge list. Run calls it as its final stage;
 // benchmarks call it directly to isolate combiner cost.
 //
 // Edge prediction (predictEdges, shared with RecombineEdges) fans out over

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the staged decomposition of the three-phase pipeline. Run
-// and RunWithEgos are thin compositions of the stages below; the
+// is a thin composition of the stages below; the
 // incremental engine (incremental.go) composes the same stages over a
 // dirty subset instead of the whole graph, so there is exactly one
 // implementation of each phase for both the batch and the live path.

@@ -53,12 +53,13 @@ type Model struct {
 // MatMulATBGatherB of the (softmax − one-hot) residuals against the
 // batch, each preceded by a serial warm pass over the batch's arena rows
 // (rationale at the pass itself). Per dst element both kernels
-// accumulate in exactly the order the retained scalar oracle uses — bias first then ascending
-// features for logits, shuffled-row order for gradients — so Train and
-// trainReference produce bit-identical weights (pinned by
-// logreg_equiv_test.go). The bias column leads rather than trails here
-// because the scalar logits sum starts from the bias; the public W keeps
-// its bias-last layout via a final copy.
+// accumulate in exactly the order the retained scalar oracle
+// (trainReference, in logreg_reference_test.go) uses — bias first then
+// ascending features for logits, shuffled-row order for gradients — so the
+// two produce bit-identical weights (pinned by logreg_equiv_test.go).
+// The bias column leads rather than trails here because the scalar logits
+// sum starts from the bias; the public W keeps its bias-last layout via a
+// final copy.
 func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 	cfg.defaults()
 	if cfg.Classes < 2 {

@@ -1,7 +1,7 @@
 // Package serve is the LoCEC serving layer: a long-lived HTTP/JSON
 // classification service in the spirit of the paper's deployed system
 // (Section V-D). A dataset is loaded (or synthesized) once, classified by
-// the three-phase pipeline across a sharded worker pool, and the finished
+// the three-phase pipeline across a worker pool, and the finished
 // run is published as an immutable in-memory snapshot behind an
 // atomic.Pointer. Readers — GET /v1/edge, POST /v1/classify,
 // GET /v1/communities/{node}, GET /v1/stats — never take a lock;
@@ -22,9 +22,7 @@ import (
 
 	"locec/internal/artifact"
 	"locec/internal/core"
-	"locec/internal/gbdt"
 	"locec/internal/graph"
-	"locec/internal/logreg"
 	"locec/internal/ring"
 	"locec/internal/social"
 	"locec/internal/wal"
@@ -43,12 +41,9 @@ type Config struct {
 	// values take the engine defaults.
 	K, Epochs        int
 	Rounds, MaxDepth int
-	// Shards is the worker-pool width for the sharded division (and the
-	// core.DivisionConfig.Workers value for Phase II); 0 = GOMAXPROCS.
-	Shards int
-	// GBDTWorkers bounds GBDT split-finding parallelism for XGB retrains
-	// (0 = Shards). Trees are bit-identical for every worker count.
-	GBDTWorkers int
+	// Workers is the worker-pool width for division and Phase II
+	// training (core.Spec.Workers); 0 = GOMAXPROCS.
+	Workers int
 	// Detector picks the Phase I algorithm ("gn" default, "labelprop",
 	// "louvain", or a seed-grown local detector "clauset", "lshell",
 	// "lemon") and GNPatience bounds Girvan–Newman.
@@ -195,7 +190,10 @@ func (s *snapshot) label(u, v graph.NodeID) (social.Label, []float64, bool) {
 // Server is the classification service. Create with New, mount Handler on
 // an http.Server, and Close when done (stops the mutation applier).
 type Server struct {
-	cfg   Config
+	cfg Config
+	// spec is cfg's pipeline description, parsed once in New; every
+	// retrain and mutable restore builds its pipeline from it.
+	spec  core.Spec
 	log   *slog.Logger
 	cur   atomic.Pointer[snapshot]
 	cache *lruCache
@@ -255,13 +253,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
-	if _, err := core.ParseDetector(cfg.Detector); err != nil {
+	spec, err := cfg.spec()
+	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
-	}
-	switch cfg.Variant {
-	case "", "cnn", "xgb":
-	default:
-		return nil, fmt.Errorf("serve: unknown variant %q (want cnn or xgb)", cfg.Variant)
 	}
 	if cfg.ShardCount < 0 || (cfg.ShardCount > 0 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount)) {
 		return nil, fmt.Errorf("serve: shard %d/%d out of range", cfg.ShardIndex, cfg.ShardCount)
@@ -292,6 +286,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
+		spec:       spec,
 		log:        log,
 		cache:      newLRUCache(cfg.CacheSize),
 		lat:        newRouteLatency(),
@@ -431,7 +426,10 @@ func (s *Server) reloadLocked(seed int64) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("serve: dataset source: %w", err)
 	}
-	res, pipe, err := s.classify(ds, seed)
+	// The pipeline stays with the snapshot so mutations apply through the
+	// same configuration and frozen models.
+	pipe := s.pipeline(seed)
+	res, err := pipe.Run(ds)
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("serve: classify: %w", err)
 	}
@@ -510,9 +508,9 @@ func (s *Server) snapshotFromArtifact(art *artifact.Artifact, t0 time.Time) (*sn
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	// Mirror RunWithEgos's invariant: handlers index Egos by node ID, so
-	// the ego list and the graph must agree (the artifact layer pins both
-	// to its meta count; this guards the pairing directly).
+	// Handlers index Egos by node ID, so the ego list and the graph must
+	// agree (the artifact layer pins both to its meta count; this guards
+	// the pairing directly).
 	if len(ex.Egos) != g.NumNodes() {
 		return nil, fmt.Errorf("serve: artifact has %d ego results for a %d-node graph",
 			len(ex.Egos), g.NumNodes())
@@ -534,7 +532,7 @@ func (s *Server) snapshotFromArtifact(art *artifact.Artifact, t0 time.Time) (*sn
 	var res *core.Result
 	var pipe *core.Pipeline
 	if ds != nil {
-		pipe = core.NewPipeline(s.coreConfig(meta.Seed))
+		pipe = s.pipeline(meta.Seed)
 		if res, err = pipe.RunFromArtifact(ex); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
@@ -580,55 +578,32 @@ func (s *Server) ExportArtifact(w io.Writer) error {
 	return err
 }
 
-// coreConfig renders the server's pipeline configuration for a seed; both
-// fresh training (classify) and mutable artifact restores use it, so a
-// snapshot restored from a checkpoint applies mutations under exactly the
-// configuration that would have trained it.
-func (s *Server) coreConfig(seed int64) core.Config {
-	divCfg := core.DivisionConfig{
-		Workers:    s.cfg.Shards,
-		Seed:       seed,
-		GNPatience: s.cfg.GNPatience,
+// spec parses the config's pipeline fields into the engine's Spec (the
+// seed is set per build).
+func (c Config) spec() (core.Spec, error) {
+	variant, err := core.ParseVariant(c.Variant)
+	if err != nil {
+		return core.Spec{}, err
 	}
-	// Validated in New; ParseDetector maps "" to Girvan–Newman.
-	divCfg.Detector, _ = core.ParseDetector(s.cfg.Detector)
-	coreCfg := core.Config{Division: divCfg, Seed: seed}
-	if s.cfg.Variant == "xgb" {
-		gw := s.cfg.GBDTWorkers
-		if gw == 0 {
-			gw = s.cfg.Shards
-		}
-		coreCfg.Classifier = &core.XGBClassifier{
-			Workers: gw,
-			Config:  gbdt.Config{Rounds: s.cfg.Rounds, MaxDepth: s.cfg.MaxDepth, Seed: seed},
-			Seed:    seed,
-		}
-	} else {
-		coreCfg.Classifier = &core.CNNClassifier{
-			K: s.cfg.K, Epochs: s.cfg.Epochs, Workers: s.cfg.Shards, Seed: seed,
-		}
+	detector, err := core.ParseDetector(c.Detector)
+	if err != nil {
+		return core.Spec{}, err
 	}
-	coreCfg.Combiner = logreg.Config{Classes: social.NumLabels, Seed: seed + 101}
-	return coreCfg
+	return core.Spec{
+		Variant: variant, Detector: detector,
+		K: c.K, Epochs: c.Epochs, Rounds: c.Rounds, MaxDepth: c.MaxDepth,
+		Workers: c.Workers, GNPatience: c.GNPatience,
+	}, nil
 }
 
-// classify runs the three-phase pipeline: the Phase I division is sharded
-// by node ID across cfg.Shards workers (divideSharded), then Phases II and
-// III run through the core pipeline on the assembled ego results. The
-// pipeline is returned alongside the result so the snapshot can later
-// apply mutations through the same configuration and frozen models.
-func (s *Server) classify(ds *social.Dataset, seed int64) (*core.Result, *core.Pipeline, error) {
-	coreCfg := s.coreConfig(seed)
-
-	t0 := time.Now()
-	egos := divideSharded(ds, s.cfg.Shards, coreCfg.Division)
-	phase1 := time.Since(t0)
-	pipe := core.NewPipeline(coreCfg)
-	res, err := pipe.RunWithEgos(ds, egos, phase1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, pipe, nil
+// pipeline builds the server's pipeline for a seed; both fresh training
+// (reloadLocked) and mutable artifact restores use it, so a snapshot restored
+// from a checkpoint applies mutations under exactly the configuration that
+// would have trained it.
+func (s *Server) pipeline(seed int64) *core.Pipeline {
+	spec := s.spec
+	spec.Seed = seed
+	return core.NewPipeline(spec.Config())
 }
 
 // current returns the live snapshot; never nil after New succeeds.

@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"locec/internal/core"
+	"locec"
 	"locec/internal/graph"
 )
 
@@ -403,20 +405,39 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-func TestDivideShardedCoversEveryNode(t *testing.T) {
-	s := testServer(t)
-	ds := s.current().ds
-	cfg := core.DivisionConfig{Detector: core.DetectorLabelProp, Seed: 7}
-	sharded := divideSharded(ds, 4, cfg)
-	if len(sharded) != ds.G.NumNodes() {
-		t.Fatalf("sharded division returned %d results, want %d", len(sharded), ds.G.NumNodes())
+// TestRetrainMatchesPublicClassify: a server's retrain builds the same
+// pipeline as locec.Classify under the same spec, so their edge stores are
+// identical bit for bit.
+func TestRetrainMatchesPublicClassify(t *testing.T) {
+	cfg := Config{
+		Users: 80, Survey: 0.5, Seed: 7,
+		Variant: "xgb", Rounds: 5, MaxDepth: 3, Detector: "clauset", Workers: 2,
+		Logger: discardLogger(),
 	}
-	for u, er := range sharded {
-		if er == nil {
-			t.Fatalf("node %d missing from sharded division", u)
-		}
-		if int(er.Ego) != u {
-			t.Fatalf("result %d has ego %d", u, er.Ego)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ds, err := s.cfg.Source(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := locec.Classify(ds, locec.Config{
+		Variant: locec.VariantXGB, Rounds: 5, MaxDepth: 3,
+		Detector: locec.DetectorClauset, Workers: 2, Seed: cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := s.current().res.Edges, pub.Internal().Edges
+	if !slices.Equal(got.Keys(), want.Keys()) || !slices.Equal(got.Labels(), want.Labels()) {
+		t.Fatal("retrain and locec.Classify label different edges")
+	}
+	gp, wp := got.ProbsFlat(), want.ProbsFlat()
+	for i := range wp {
+		if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) {
+			t.Fatalf("probability %d: retrain %v, locec.Classify %v", i, gp[i], wp[i])
 		}
 	}
 }

@@ -27,9 +27,7 @@ import (
 	"fmt"
 
 	"locec/internal/core"
-	"locec/internal/gbdt"
 	"locec/internal/graph"
-	"locec/internal/logreg"
 	"locec/internal/social"
 )
 
@@ -70,94 +68,46 @@ const (
 )
 
 // Variant selects the Phase II community classifier.
-type Variant int
+type Variant = core.Variant
 
 const (
 	// VariantCNN is LoCEC-CNN, the paper's best performer (CommCNN).
-	VariantCNN Variant = iota
+	VariantCNN = core.VariantCNN
 	// VariantXGB is LoCEC-XGB, the gradient-boosted runner-up.
-	VariantXGB
+	VariantXGB = core.VariantXGB
 )
 
 // Detector selects the Phase I community detection algorithm.
-type Detector int
+type Detector = core.DetectorKind
 
+// Phase I detectors (re-exported from the engine).
 const (
 	// DetectorGirvanNewman is the paper's algorithm (default).
-	DetectorGirvanNewman Detector = iota
+	DetectorGirvanNewman = core.DetectorGirvanNewman
 	// DetectorLabelProp is a fast ablation alternative.
-	DetectorLabelProp
+	DetectorLabelProp = core.DetectorLabelProp
 	// DetectorLouvain is a fast greedy-modularity ablation alternative.
-	DetectorLouvain
+	DetectorLouvain = core.DetectorLouvain
 	// DetectorClauset grows communities by greedy local-modularity
 	// expansion from seeds (Clauset 2005) — a local detector whose
 	// results the incremental engine can replay.
-	DetectorClauset
+	DetectorClauset = core.DetectorClauset
 	// DetectorLShell grows communities shell by shell with an
 	// emerging-degree cutoff (Bagrow & Bollt 2005) — local.
-	DetectorLShell
+	DetectorLShell = core.DetectorLShell
 	// DetectorLemon grows communities by short random-walk diffusion and
 	// a local spectral sweep (Li et al. 2015, simplified) — local.
-	DetectorLemon
+	DetectorLemon = core.DetectorLemon
 )
 
 // ParseDetector maps a detector name — "gn" (or ""), "labelprop",
 // "louvain", "clauset", "lshell", "lemon" — to its Detector constant.
-func ParseDetector(name string) (Detector, error) {
-	switch name {
-	case "", "gn":
-		return DetectorGirvanNewman, nil
-	case "labelprop":
-		return DetectorLabelProp, nil
-	case "louvain":
-		return DetectorLouvain, nil
-	case "clauset":
-		return DetectorClauset, nil
-	case "lshell":
-		return DetectorLShell, nil
-	case "lemon":
-		return DetectorLemon, nil
-	default:
-		return 0, fmt.Errorf("locec: unknown detector %q (want one of %v)", name, core.DetectorNames())
-	}
-}
+func ParseDetector(name string) (Detector, error) { return core.ParseDetector(name) }
 
-// String implements fmt.Stringer.
-func (v Variant) String() string {
-	if v == VariantXGB {
-		return "LoCEC-XGB"
-	}
-	return "LoCEC-CNN"
-}
-
-// Config tunes a classification run. The zero value plus a Seed gives the
-// paper's configuration (CNN, k = 20).
-type Config struct {
-	// Variant picks LoCEC-CNN (default) or LoCEC-XGB.
-	Variant Variant
-	// K is the community feature-matrix row budget (paper: 20).
-	K int
-	// Epochs / Filters / Hidden tune CommCNN training (CNN variant).
-	Epochs, Filters, Hidden int
-	// Rounds / MaxDepth tune the boosted trees (XGB variant).
-	Rounds, MaxDepth int
-	// Workers bounds parallelism (0 = GOMAXPROCS).
-	Workers int
-	// GBDTWorkers bounds GBDT split-finding parallelism (0 = Workers).
-	// Any value produces bit-identical trees — a pure speed knob.
-	GBDTWorkers int
-	// Seed makes the run reproducible.
-	Seed int64
-	// Detector swaps the Phase I algorithm (default Girvan–Newman, the
-	// paper's choice; the alternatives are ablations).
-	Detector Detector
-	// GNPatience stops Girvan–Newman early after this many fruitless
-	// rounds (0 = exact; larger ego networks benefit from ~20).
-	GNPatience int
-	// AgreementRule replaces the Phase III logistic regression with the
-	// naive both-sides-agree rule (ablation; not the paper's combiner).
-	AgreementRule bool
-}
+// Config tunes a classification run; it is the engine's pipeline Spec.
+// The zero value plus a Seed gives the paper's configuration (CNN,
+// Girvan–Newman, k = 20).
+type Config = core.Spec
 
 // Result exposes a completed run.
 type Result struct {
@@ -260,43 +210,7 @@ func Classify(ds *social.Dataset, cfg Config) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	coreCfg := core.Config{Seed: cfg.Seed, AgreementRule: cfg.AgreementRule}
-	coreCfg.Division = core.DivisionConfig{
-		Workers:    cfg.Workers,
-		Seed:       cfg.Seed,
-		GNPatience: cfg.GNPatience,
-	}
-	switch cfg.Detector {
-	case DetectorLabelProp:
-		coreCfg.Division.Detector = core.DetectorLabelProp
-	case DetectorLouvain:
-		coreCfg.Division.Detector = core.DetectorLouvain
-	case DetectorClauset:
-		coreCfg.Division.Detector = core.DetectorClauset
-	case DetectorLShell:
-		coreCfg.Division.Detector = core.DetectorLShell
-	case DetectorLemon:
-		coreCfg.Division.Detector = core.DetectorLemon
-	}
-	switch cfg.Variant {
-	case VariantXGB:
-		gw := cfg.GBDTWorkers
-		if gw == 0 {
-			gw = cfg.Workers
-		}
-		coreCfg.Classifier = &core.XGBClassifier{
-			Config:  gbdt.Config{Rounds: cfg.Rounds, MaxDepth: cfg.MaxDepth, Seed: cfg.Seed},
-			Seed:    cfg.Seed,
-			Workers: gw,
-		}
-	default:
-		coreCfg.Classifier = &core.CNNClassifier{
-			K: cfg.K, Filters: cfg.Filters, Hidden: cfg.Hidden,
-			Epochs: cfg.Epochs, Workers: cfg.Workers, Seed: cfg.Seed,
-		}
-	}
-	coreCfg.Combiner = logreg.Config{Classes: social.NumLabels, Seed: cfg.Seed + 101}
-	res, err := core.NewPipeline(coreCfg).Run(ds)
+	res, err := core.NewPipeline(cfg.Config()).Run(ds)
 	if err != nil {
 		return nil, err
 	}
